@@ -1,16 +1,23 @@
 # Development targets for ctxres. `make` (or `make check`) is the default
-# gate: vet + build + full test suite + race-mode run of the packages with
-# real concurrency (the parallel checker and the middleware around it).
+# gate: gofmt + vet + build + full test suite + race-mode run of the
+# packages with real concurrency (the parallel checker and the middleware
+# around it).
 
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 30s
 SOAKTIME ?= 3m
 
 .DEFAULT_GOAL := check
 
-.PHONY: check build test race bench bench-smoke vet cover fuzz-smoke smoke soak
+.PHONY: check fmt build test race bench bench-smoke vet cover fuzz-smoke smoke soak
 
-check: vet build test race
+check: fmt vet build test race
+
+# fmt fails when any tracked .go file is not gofmt-formatted.
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

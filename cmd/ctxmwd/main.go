@@ -8,7 +8,7 @@
 // -strategy selects the resolution strategy (D-BAD, D-LAT, D-ALL, D-RAND,
 // OPT-R); -parallelism switches consistency checking onto the parallel
 // binding evaluator (as in ctxbench); -idle-timeout, -max-conns, and
-// -drain-timeout tune the serving path.
+// -drain-timeout tune the serving path, in daemon and -router mode alike.
 //
 // -data-dir enables durability: every state-changing operation is
 // journaled to a write-ahead log in that directory, and on startup the
@@ -304,6 +304,14 @@ func setup(args []string) (*daemonProc, error) {
 		return spanFile.Close()
 	}
 
+	// The transport tunings are shared by every serving role: the router
+	// and the daemon run the same connection lifecycle.
+	transport := []daemon.Option{
+		daemon.WithIdleTimeout(*idle),
+		daemon.WithMaxConns(*maxConns),
+		daemon.WithDrainTimeout(*drain),
+	}
+
 	// Router mode needs only the checker (for the source-locality analysis
 	// that decides which constraints scatter); no middleware runs here.
 	if *routerMode {
@@ -311,7 +319,6 @@ func setup(args []string) (*daemonProc, error) {
 			Shards:    splitShards(*shardList),
 			Checker:   checker,
 			Timeout:   10 * time.Second,
-			MaxConns:  *maxConns,
 			Telemetry: reg,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("ctxmwd: "+format+"\n", args...)
@@ -321,7 +328,7 @@ func setup(args []string) (*daemonProc, error) {
 			ropt.SpanSink = spans
 			ropt.TraceSample = *traceSample
 		}
-		r, err := cluster.ServeRouter(*addr, ropt)
+		r, err := cluster.ServeRouter(*addr, ropt, transport...)
 		if err != nil {
 			_ = closeSpans()
 			return nil, err
@@ -415,10 +422,7 @@ func setup(args []string) (*daemonProc, error) {
 
 	// baseServe is the option set shared by the leader path and a promoted
 	// follower; the snapshot interval and replication source vary per path.
-	baseServe := []daemon.Option{
-		daemon.WithIdleTimeout(*idle),
-		daemon.WithMaxConns(*maxConns),
-		daemon.WithDrainTimeout(*drain),
+	baseServe := append(transport,
 		daemon.WithCompactInterval(*compactEvery),
 		daemon.WithSubscriptions(daemon.SubscriptionOptions{
 			MaxSubscribers: *maxSubscribers,
@@ -426,7 +430,7 @@ func setup(args []string) (*daemonProc, error) {
 		}),
 		daemon.WithTelemetry(reg),
 		daemon.WithProvenance(prov),
-	}
+	)
 	if spans != nil {
 		baseServe = append(baseServe,
 			daemon.WithTracing(spans, telemetry.NewSampler(*traceSample)))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"ctxres/internal/constraint"
 	"ctxres/internal/ctx"
 	"ctxres/internal/daemon"
 	"ctxres/internal/middleware"
+	"ctxres/internal/strategy"
 	"ctxres/internal/telemetry"
 )
 
@@ -502,4 +505,129 @@ func TestSetupMetricsEndpoint(t *testing.T) {
 	if submitSpans != mwStats.Submitted {
 		t.Fatalf("span log has %d submit spans, want %d", submitSpans, mwStats.Submitted)
 	}
+}
+
+// TestSetupRouterTransportFlagsWire proves -idle-timeout, -max-conns, and
+// -drain-timeout reach the router's transport, as they reach a daemon's:
+// an over-cap connection is refused busy, an idle one is reaped, a long
+// drain lets an in-flight routed submit finish, and a short one cuts it.
+func TestSetupRouterTransportFlagsWire(t *testing.T) {
+	// blockingShard serves a daemon whose submissions block until
+	// released, so a routed submit can be held in flight.
+	blockingShard := func() (addr string, started, release chan struct{}) {
+		started, release = make(chan struct{}, 1), make(chan struct{})
+		mw := middleware.New(constraint.NewChecker(), strategy.NewDropBad(),
+			middleware.WithHooks(middleware.Hooks{OnAccept: func(*ctx.Context) {
+				started <- struct{}{}
+				<-release
+			}}))
+		srv, err := daemon.Serve("127.0.0.1:0", mw, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Shutdown)
+		return srv.Addr().String(), started, release
+	}
+	route := func(shard string, flags ...string) *daemonProc {
+		d, err := setup(append([]string{"-addr", "127.0.0.1:0", "-router", "-shards", shard}, flags...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	readLine := func(conn net.Conn) (daemon.Response, error) {
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var resp daemon.Response
+		line, err := bufio.NewReader(conn).ReadBytes('\n')
+		if err == nil {
+			err = json.Unmarshal(line, &resp)
+		}
+		return resp, err
+	}
+
+	t.Run("idle-timeout and max-conns", func(t *testing.T) {
+		shard, _, _ := blockingShard()
+		d := route(shard, "-idle-timeout", "300ms", "-max-conns", "1")
+		defer d.router.Shutdown()
+		first, err := net.Dial("tcp", d.router.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer first.Close()
+		if _, err := first.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := readLine(first); err != nil || !resp.OK {
+			t.Fatalf("ping = %+v, %v", resp, err)
+		}
+		second, err := net.Dial("tcp", d.router.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer second.Close()
+		if resp, err := readLine(second); err != nil || resp.Code != daemon.CodeBusy {
+			t.Fatalf("over-cap connection got %+v, %v; want %s", resp, err, daemon.CodeBusy)
+		}
+		// The first connection now idles past -idle-timeout and is reaped.
+		_, err = readLine(first)
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("idle read = %v, want the router to close the connection", err)
+		}
+	})
+
+	// shutdownInFlight holds a routed submit in a blocked shard, starts
+	// the router's shutdown, and returns once the router has stopped
+	// accepting, so the drain is under way with the submit in flight.
+	shutdownInFlight := func(t *testing.T, drainTimeout string) (submitErr chan error, release, done chan struct{}) {
+		shard, started, release := blockingShard()
+		d := route(shard, "-drain-timeout", drainTimeout)
+		addr := d.router.Addr().String()
+		cl, err := daemon.DialOptions(addr, daemon.ClientOptions{Timeout: 10 * time.Second, MaxAttempts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		submitErr = make(chan error, 1)
+		go func() {
+			_, err := cl.Submit(ctx.NewLocation("peter", time.Unix(0, 0), ctx.Point{},
+				ctx.WithID("d1"), ctx.WithSeq(1), ctx.WithSource("s")))
+			submitErr <- err
+		}()
+		<-started
+		done = make(chan struct{})
+		go func() {
+			d.router.Shutdown()
+			close(done)
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				break
+			}
+			_ = c.Close()
+			if time.Now().After(deadline) {
+				t.Fatal("router kept accepting after Shutdown")
+			}
+		}
+		return submitErr, release, done
+	}
+	t.Run("long drain-timeout", func(t *testing.T) {
+		submitErr, release, done := shutdownInFlight(t, "30s")
+		close(release)
+		if err := <-submitErr; err != nil {
+			t.Fatalf("in-flight submit under -drain-timeout 30s: %v", err)
+		}
+		<-done
+	})
+	t.Run("short drain-timeout", func(t *testing.T) {
+		submitErr, release, done := shutdownInFlight(t, "50ms")
+		// The shard still holds the submit: only the drain deadline can
+		// end it.
+		if err := <-submitErr; err == nil {
+			t.Fatal("in-flight submit outlived -drain-timeout 50ms")
+		}
+		close(release)
+		<-done
+	})
 }

@@ -40,9 +40,8 @@ type RouterOptions struct {
 	Checker *constraint.Checker
 	// Timeout bounds each upstream round trip (0 = client default).
 	Timeout time.Duration
-	// MaxConns caps concurrent downstream connections (0 = unlimited).
-	MaxConns int
-	// Telemetry registers the routing counters when set.
+	// Telemetry registers the routing counters, and the transport's
+	// request and connection metrics, when set.
 	Telemetry *telemetry.Registry
 	// SpanSink records the router's distributed-tracing spans: one root
 	// span per routed operation plus one child span per shard hop (owner
@@ -74,10 +73,15 @@ type RouterOptions struct {
 // those constraints against the full universe of relevant contexts. The
 // ring owner's response is authoritative; mirror responses are
 // discarded.
+//
+// Downstream connections are served by the daemon's Transport, with the
+// router as its per-connection Handler, so the router shares the shard
+// daemons' accept backoff, connection cap, idle deadlines, framing,
+// typed protocol errors, and drain-on-shutdown.
 type Router struct {
 	opt  RouterOptions
 	ring *Ring
-	ln   net.Listener
+	t    *daemon.Transport
 
 	// spanningKinds maps each context kind quantified by a non-local
 	// constraint to the mirror path; spanningNames lists those
@@ -105,13 +109,7 @@ type Router struct {
 	latestMu    sync.Mutex
 	latestShard map[latestKey]string
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-
-	// sampler elects untraced operations to root fresh traces
-	// (RouterOptions.TraceSample); nil never roots.
-	sampler *telemetry.Sampler
-
+	// stop ends the replica-set probe loop; wg joins it.
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -211,8 +209,44 @@ type latestKey struct {
 	subject string
 }
 
-// ServeRouter starts a router gateway listening on addr.
-func ServeRouter(addr string, opt RouterOptions) (*Router, error) {
+// ServeRouter starts a router gateway listening on addr. The options
+// tune its downstream transport (idle timeout, connection cap, drain,
+// accept backoff), exactly as they tune a shard daemon's.
+func ServeRouter(addr string, opt RouterOptions, opts ...daemon.Option) (*Router, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: router listen: %w", err)
+	}
+	return ServeRouterListener(ln, opt, opts...)
+}
+
+// ServeRouterListener starts a router gateway on an existing listener,
+// taking ownership of ln (Shutdown closes it; so does a failed start).
+// This is the injection point for fault harnesses such as
+// internal/daemon/faultconn.
+func ServeRouterListener(ln net.Listener, opt RouterOptions, opts ...daemon.Option) (*Router, error) {
+	r, err := newRouter(opt)
+	if err != nil {
+		_ = ln.Close()
+		return nil, err
+	}
+	// The router's own telemetry and tracing settings apply to its
+	// transport too: request metrics land in the routing registry, and
+	// the transport acks trace offers and resolves each request's trace
+	// (Conn.TraceFor) from the router's span sink and sampler.
+	if opt.Telemetry != nil {
+		opts = append(opts, daemon.WithTelemetry(opt.Telemetry))
+	}
+	if opt.SpanSink != nil {
+		opts = append(opts, daemon.WithTracing(opt.SpanSink, telemetry.NewSampler(opt.TraceSample)))
+	}
+	r.t = daemon.ServeTransport(ln, r.newConn, opts...)
+	return r, nil
+}
+
+// newRouter validates the options, builds the routing state, and starts
+// the replica-set probe loop.
+func newRouter(opt RouterOptions) (*Router, error) {
 	if len(opt.Shards) == 0 {
 		return nil, errors.New("cluster: router needs at least one shard address")
 	}
@@ -241,8 +275,6 @@ func ServeRouter(addr string, opt RouterOptions) (*Router, error) {
 		shardCtrs:     make(map[string]*shardCounters),
 		sets:          make(map[string]*shardSet),
 		latestShard:   make(map[latestKey]string),
-		conns:         make(map[net.Conn]struct{}),
-		sampler:       telemetry.NewSampler(opt.TraceSample),
 		stop:          make(chan struct{}),
 	}
 	for _, shard := range ring.Addrs() {
@@ -288,13 +320,6 @@ func ServeRouter(addr string, opt RouterOptions) (*Router, error) {
 			r.epochGauge.With(key).Set(0)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: router listen: %w", err)
-	}
-	r.ln = ln
-	r.wg.Add(1)
-	go r.acceptLoop()
 	if anyReplicas {
 		r.wg.Add(1)
 		go r.probeLoop()
@@ -426,7 +451,7 @@ func (r *Router) noteStaleLeader(shard string) {
 }
 
 // Addr returns the router's listen address.
-func (r *Router) Addr() net.Addr { return r.ln.Addr() }
+func (r *Router) Addr() net.Addr { return r.t.Addr() }
 
 // Spanning returns the constraint names on the mirror path, sorted.
 func (r *Router) Spanning() []string {
@@ -463,81 +488,18 @@ func (r *Router) Stats() daemon.RouterStats {
 	return rs
 }
 
-// Shutdown stops accepting, closes every downstream connection (and with
-// them their upstream fan-out clients), and waits for the serving
-// goroutines.
+// Shutdown stops accepting, drains in-flight routed requests (bounded by
+// the transport's drain timeout), closes every downstream connection (and
+// with them their upstream fan-out clients), stops the probe loop, and
+// waits for every goroutine. It is idempotent.
 func (r *Router) Shutdown() {
-	r.stopOnce.Do(func() {
-		close(r.stop)
-		_ = r.ln.Close()
-		r.connMu.Lock()
-		for c := range r.conns {
-			_ = c.Close()
-		}
-		r.connMu.Unlock()
-	})
+	r.t.Shutdown()
+	r.stopOnce.Do(func() { close(r.stop) })
 	r.wg.Wait()
-}
-
-func (r *Router) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if r.opt.MaxConns > 0 && r.connCount() >= r.opt.MaxConns {
-			resp := daemon.ErrResponse(daemon.CodeBusy, errors.New("router at connection cap"))
-			writeLineResponse(conn, resp)
-			_ = conn.Close()
-			continue
-		}
-		r.trackConn(conn, true)
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer r.trackConn(conn, false)
-			defer conn.Close()
-			r.serveConn(conn)
-		}()
-	}
-}
-
-func (r *Router) connCount() int {
-	r.connMu.Lock()
-	defer r.connMu.Unlock()
-	return len(r.conns)
-}
-
-func (r *Router) trackConn(conn net.Conn, add bool) {
-	r.connMu.Lock()
-	if add {
-		r.conns[conn] = struct{}{}
-	} else {
-		delete(r.conns, conn)
-	}
-	r.connMu.Unlock()
 }
 
 // owner returns the shard owning a source's contexts.
 func (r *Router) owner(source string) string { return r.ring.Owner(source) }
-
-// traceFor resolves the trace context one routed operation runs under:
-// join the caller's trace when the request carries one, or root a fresh
-// trace when the sampler elects an untraced request. Zero without a span
-// sink — tracing is then off end to end.
-func (r *Router) traceFor(req *daemon.Request) telemetry.TraceContext {
-	if r.opt.SpanSink == nil {
-		return telemetry.TraceContext{}
-	}
-	if req.TraceID != "" {
-		return telemetry.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID}
-	}
-	if r.sampler.Sample() {
-		return telemetry.TraceContext{TraceID: telemetry.NewTraceID()}
-	}
-	return telemetry.TraceContext{}
-}
 
 // startSpan opens a router-side span in tr's trace; nil when the
 // operation is untraced.

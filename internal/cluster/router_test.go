@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -205,6 +208,72 @@ func TestRouterDifferential(t *testing.T) {
 	if mwStats.Submitted < len(subs) {
 		t.Fatalf("merged Submitted = %d, want >= %d", mwStats.Submitted, len(subs))
 	}
+
+	// Malformed requests get the single node's typed answer, code and
+	// message alike. The requests share one connection, so the duplicate
+	// subscription is refused as it would be on a direct connection.
+	formula := `exists a: location . subjectIs(a, "peter")`
+	bad := []struct {
+		req  daemon.Request
+		code daemon.Code // "" for a request that succeeds
+	}{
+		{daemon.Request{Op: daemon.OpBatchSubmit}, daemon.CodeApp},
+		{daemon.Request{Op: daemon.OpSubmit}, daemon.CodeApp},
+		{daemon.Request{Op: daemon.OpSubscribe, Formula: formula}, daemon.CodeBadRequest},
+		{daemon.Request{Op: daemon.OpSubscribe, SubID: "both", Situation: "s", Formula: formula}, daemon.CodeBadRequest},
+		{daemon.Request{Op: daemon.OpSubscribe, SubID: "neither"}, daemon.CodeBadRequest},
+		{daemon.Request{Op: daemon.OpUnsubscribe}, daemon.CodeBadRequest},
+		{daemon.Request{Op: daemon.OpHello, Role: "overlord"}, daemon.CodeApp},
+		{daemon.Request{Op: daemon.OpHello, Format: "xml"}, daemon.CodeApp},
+		{daemon.Request{Op: daemon.OpSubscribe, SubID: "dup", Formula: formula}, ""},
+		{daemon.Request{Op: daemon.OpSubscribe, SubID: "dup", Formula: formula}, daemon.CodeDupSubscription},
+		{daemon.Request{Op: daemon.OpUnsubscribe, SubID: "dup"}, ""},
+	}
+	reqs := make([]daemon.Request, len(bad))
+	for i, b := range bad {
+		reqs[i] = b.req
+	}
+	gotResps := rawExchange(t, r.Addr().String(), reqs)
+	wantResps := rawExchange(t, single.Addr().String(), reqs)
+	for i, b := range bad {
+		if !reflect.DeepEqual(gotResps[i], wantResps[i]) {
+			t.Errorf("%s %+v: router %+v, single-node %+v", b.req.Op, b.req, gotResps[i], wantResps[i])
+		}
+		if gotResps[i].Code != b.code {
+			t.Errorf("%s %+v: code %q, want %q", b.req.Op, b.req, gotResps[i].Code, b.code)
+		}
+	}
+}
+
+// rawExchange sends reqs as line-JSON frames on one fresh connection and
+// returns the decoded responses in order.
+func rawExchange(t *testing.T, addr string, reqs []daemon.Request) []daemon.Response {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	out := make([]daemon.Response, len(reqs))
+	for i, req := range reqs {
+		payload, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append(payload, '\n')); err != nil {
+			t.Fatalf("write %s: %v", req.Op, err)
+		}
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read %s response: %v", req.Op, err)
+		}
+		if err := json.Unmarshal(line, &out[i]); err != nil {
+			t.Fatalf("decode %s response %q: %v", req.Op, line, err)
+		}
+	}
+	return out
 }
 
 // TestRouterScatterKeepsCrossSourceDetection pins the reason the mirror

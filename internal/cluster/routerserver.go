@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+	"sort"
 	"sync"
 	"time"
-
-	"sort"
 
 	"ctxres/internal/ctx"
 	"ctxres/internal/daemon"
@@ -18,18 +14,15 @@ import (
 	"ctxres/internal/telemetry"
 )
 
-// routerConn serves one downstream connection: it decodes requests in
-// the daemon's framing, fans them out to per-connection upstream clients
-// (one daemon.Client per shard, dialed lazily), and merges the answers.
-// Upstream clients are per downstream connection so subscriptions and
-// round-trip serialization stay scoped the way a direct connection's
-// would be.
+// routerConn is the router's per-connection daemon.Handler: it fans
+// each downstream request out to per-connection upstream clients (one
+// daemon.Client per shard, dialed lazily) and merges the answers; the
+// daemon's transport owns the connection itself. Upstream clients are
+// per downstream connection so subscriptions and round-trip
+// serialization stay scoped the way a direct connection's would be.
 type routerConn struct {
-	r    *Router
-	conn net.Conn
-
-	writeMu sync.Mutex // serializes frames: responses and forwarded pushes
-	binary  bool       // guarded by writeMu (changes only at hello, before pushes exist)
+	r *Router
+	c *daemon.Conn // forwarded pushes go out through it
 
 	ups       map[string]*daemon.Client // keyed by ring key; serving goroutine only
 	upsActive map[string]string         // member each upstream client was dialed for
@@ -46,90 +39,14 @@ type subState struct {
 	cur    bool            // last state pushed downstream
 }
 
-func (r *Router) serveConn(conn net.Conn) {
-	rc := &routerConn{
+func (r *Router) newConn(c *daemon.Conn) daemon.Handler {
+	return &routerConn{
 		r:         r,
-		conn:      conn,
+		c:         c,
 		ups:       make(map[string]*daemon.Client),
 		upsActive: make(map[string]string),
 		subs:      make(map[string]*subState),
 	}
-	defer rc.closeUpstreams()
-	br := bufio.NewReader(conn)
-	var buf []byte
-	for {
-		var body []byte
-		var err error
-		if rc.isBinary() {
-			body, err = daemon.ReadBinFrame(br, &buf)
-		} else {
-			body, err = daemon.ReadLineFrame(br, &buf)
-		}
-		if err != nil {
-			if daemon.IsFrameTooLong(err) {
-				_ = rc.writeResp(daemon.ErrResponse(daemon.CodeFrameTooLong, err))
-			}
-			return
-		}
-		var req daemon.Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			_ = rc.writeResp(daemon.ErrResponse(daemon.CodeBadRequest, fmt.Errorf("decode request: %w", err)))
-			continue
-		}
-		daemon.InternRequest(&req)
-		resp := rc.handle(&req)
-		if err := rc.writeResp(resp); err != nil {
-			return
-		}
-		if req.Op == daemon.OpHello && resp.OK {
-			rc.setBinary(resp.Format == daemon.FormatBinary)
-		}
-	}
-}
-
-func (rc *routerConn) isBinary() bool {
-	rc.writeMu.Lock()
-	defer rc.writeMu.Unlock()
-	return rc.binary
-}
-
-func (rc *routerConn) setBinary(v bool) {
-	rc.writeMu.Lock()
-	rc.binary = v
-	rc.writeMu.Unlock()
-}
-
-// writeResp frames and writes one response or push under the write lock.
-func (rc *routerConn) writeResp(resp daemon.Response) error {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	rc.writeMu.Lock()
-	defer rc.writeMu.Unlock()
-	var wire []byte
-	if rc.binary {
-		wire, err = daemon.AppendBinFrame(nil, payload)
-		if err != nil {
-			return err
-		}
-	} else {
-		wire = append(payload, '\n')
-	}
-	_ = rc.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	_, err = rc.conn.Write(wire)
-	return err
-}
-
-// writeLineResponse writes one line-JSON response outside a serving loop
-// (the accept path's over-cap refusal).
-func writeLineResponse(conn net.Conn, resp daemon.Response) {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	_, _ = conn.Write(append(payload, '\n'))
 }
 
 // client returns (dialing lazily) this connection's upstream client for
@@ -147,7 +64,7 @@ func (rc *routerConn) client(shard string) (*daemon.Client, error) {
 		fallbacks = s.others(active)
 	}
 	if c, ok := rc.ups[shard]; ok {
-		if rc.upsActive[shard] == active || rc.hasSubs() {
+		if rc.upsActive[shard] == active || rc.Subscribed() {
 			return c, nil
 		}
 		_ = c.Close()
@@ -168,7 +85,8 @@ func (rc *routerConn) client(shard string) (*daemon.Client, error) {
 	return c, nil
 }
 
-func (rc *routerConn) hasSubs() bool {
+// Subscribed reports whether the connection holds subscriptions.
+func (rc *routerConn) Subscribed() bool {
 	rc.subsMu.Lock()
 	defer rc.subsMu.Unlock()
 	return len(rc.subs) > 0
@@ -200,7 +118,8 @@ func (rc *routerConn) withStaleRetry(shard string, fn func(*daemon.Client) error
 	return err
 }
 
-func (rc *routerConn) closeUpstreams() {
+// Close closes the connection's upstream fan-out clients.
+func (rc *routerConn) Close() {
 	for _, c := range rc.ups {
 		_ = c.Close()
 	}
@@ -216,12 +135,14 @@ func shardError(shard string, err error) daemon.Response {
 	return daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("shard %s unreachable: %w", shard, err))
 }
 
-func (rc *routerConn) handle(req *daemon.Request) daemon.Response {
+// Serve routes one request.
+func (rc *routerConn) Serve(req *daemon.Request) daemon.Response {
+	if resp, bad := daemon.InvalidRequest(req); bad {
+		return resp
+	}
 	switch req.Op {
 	case daemon.OpPing:
 		return daemon.Response{OK: true}
-	case daemon.OpHello:
-		return rc.handleHello(req)
 	case daemon.OpSubmit:
 		return rc.handleSubmit(req)
 	case daemon.OpBatchSubmit:
@@ -248,32 +169,6 @@ func (rc *routerConn) handle(req *daemon.Request) daemon.Response {
 	}
 }
 
-func (rc *routerConn) handleHello(req *daemon.Request) daemon.Response {
-	rc.subsMu.Lock()
-	n := len(rc.subs)
-	rc.subsMu.Unlock()
-	if n > 0 {
-		return daemon.ErrResponse(daemon.CodeApp,
-			errors.New("hello: cannot renegotiate with live subscriptions"))
-	}
-	switch req.Role {
-	case "", daemon.RoleClient, daemon.RoleFollower, daemon.RoleRouter:
-	default:
-		return daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("hello: unknown role %q", req.Role))
-	}
-	// Like a shard daemon, the router acks the trace offer only when it
-	// can record spans itself.
-	traceOK := req.Trace && rc.r.opt.SpanSink != nil
-	switch req.Format {
-	case "", daemon.FormatJSON:
-		return daemon.Response{OK: true, Format: daemon.FormatJSON, Trace: traceOK}
-	case daemon.FormatBinary:
-		return daemon.Response{OK: true, Format: daemon.FormatBinary, Trace: traceOK}
-	default:
-		return daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("hello: unknown format %q", req.Format))
-	}
-}
-
 func budgetOf(req *daemon.Request) time.Duration {
 	return time.Duration(req.TimeoutMillis) * time.Millisecond
 }
@@ -284,13 +179,10 @@ func budgetOf(req *daemon.Request) time.Duration {
 // complete. The owner's response is authoritative either way.
 func (rc *routerConn) handleSubmit(req *daemon.Request) daemon.Response {
 	c := req.Context
-	if c == nil {
-		return daemon.ErrResponse(daemon.CodeBadRequest, errors.New("submit: missing context"))
-	}
 	r := rc.r
 	owner := r.owner(c.Source)
 	spanning := r.spanningKinds[c.Kind]
-	tr := r.traceFor(req)
+	tr := rc.c.TraceFor(req)
 	root := r.startSpan("route_submit", string(c.ID), tr)
 	var ownerResp daemon.Response
 	if spanning {
@@ -351,15 +243,8 @@ func routeOutcome(resp daemon.Response) string {
 // item's result back from its owner shard.
 func (rc *routerConn) handleBatch(req *daemon.Request) daemon.Response {
 	n := len(req.Contexts)
-	if n == 0 {
-		return daemon.ErrResponse(daemon.CodeBadRequest, errors.New("batch-submit: no contexts"))
-	}
-	if n > daemon.MaxBatchContexts {
-		return daemon.ErrResponse(daemon.CodeBadRequest,
-			fmt.Errorf("batch-submit: %d contexts exceeds cap %d", n, daemon.MaxBatchContexts))
-	}
 	r := rc.r
-	tr := r.traceFor(req)
+	tr := rc.c.TraceFor(req)
 	root := r.startSpan("route_batch", fmt.Sprintf("%d items", n), tr)
 	type shardBatch struct {
 		items    []*ctx.Context
@@ -443,7 +328,7 @@ func (rc *routerConn) handleBatch(req *daemon.Request) daemon.Response {
 // contexts are consumed from the remaining shards so they cannot linger.
 func (rc *routerConn) handleUse(req *daemon.Request) daemon.Response {
 	r := rc.r
-	tr := r.traceFor(req)
+	tr := rc.c.TraceFor(req)
 	root := r.startSpan("route_use", string(req.ID), tr)
 	var lastErr daemon.Response
 	lastErr = daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("use %s: no shards reachable", req.ID))
@@ -512,7 +397,7 @@ func isNotFound(err error) bool {
 // the router delivers whenever a single node with the union pool would.
 func (rc *routerConn) handleUseLatest(req *daemon.Request) daemon.Response {
 	r := rc.r
-	tr := r.traceFor(req)
+	tr := rc.c.TraceFor(req)
 	root := r.startSpan("route_use_latest", string(req.Kind)+"/"+req.Subject, tr)
 	hinted, hadHint := r.lookupLatest(req.Kind, req.Subject)
 	var lastErr daemon.Response
@@ -660,18 +545,11 @@ func (rc *routerConn) handleSituations() daemon.Response {
 // when the first shard activates and one deactivation when the last
 // deactivates.
 func (rc *routerConn) handleSubscribe(req *daemon.Request) daemon.Response {
-	if req.SubID == "" {
-		return daemon.ErrResponse(daemon.CodeApp, errors.New("subscribe: missing subscription id"))
-	}
-	if (req.Situation == "") == (req.Formula == "") {
-		return daemon.ErrResponse(daemon.CodeApp,
-			errors.New("subscribe: exactly one of situation and formula must be set"))
-	}
 	rc.subsMu.Lock()
 	if _, dup := rc.subs[req.SubID]; dup {
 		rc.subsMu.Unlock()
 		return daemon.ErrResponse(daemon.CodeDupSubscription,
-			fmt.Errorf("subscription %q already registered", req.SubID))
+			fmt.Errorf("subscribe: id %q already registered on this connection", req.SubID))
 	}
 	st := &subState{active: make(map[string]bool)}
 	rc.subs[req.SubID] = st
@@ -704,8 +582,8 @@ func (rc *routerConn) handleSubscribe(req *daemon.Request) daemon.Response {
 }
 
 // forwarder builds the per-shard event handler for one subscription.
-// Handlers run on the upstream clients' read goroutines; the write lock
-// serializes their pushes with the serving loop's responses.
+// Handlers run on the upstream clients' read goroutines; the
+// connection's writer serializes their pushes with the responses.
 func (rc *routerConn) forwarder(subID, shard string, st *subState) daemon.EventHandler {
 	return func(_ string, ev daemon.WireEvent) {
 		st.mu.Lock()
@@ -724,7 +602,7 @@ func (rc *routerConn) forwarder(subID, shard string, st *subState) daemon.EventH
 		if cur {
 			typ = "activated"
 		}
-		_ = rc.writeResp(daemon.Response{OK: true, Push: true, SubID: subID,
+		_ = rc.c.Push(daemon.Response{OK: true, Push: true, SubID: subID,
 			Event: &daemon.WireEvent{Situation: ev.Situation, Type: typ, At: ev.At}})
 	}
 }

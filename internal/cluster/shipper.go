@@ -143,6 +143,14 @@ func (sh *Shipper) FollowerAck(fromSeq uint64) {
 // own position).
 func (sh *Shipper) Tap(r wal.Record, framedBytes int) {
 	rec := r
+	// A submit record points at the live pool entry, whose state the
+	// middleware keeps changing after the append; the feed goroutine
+	// encodes the frame later. Ship a copy taken here, under the
+	// middleware lock the append runs under: the state the journal wrote.
+	if rec.Context != nil {
+		c := *rec.Context
+		rec.Context = &c
+	}
 	ff := feedFrame{frame: daemon.ReplFrame{Record: &rec}, bytes: int64(framedBytes)}
 	if sh.opt.SpanSink != nil && rec.TraceID != "" {
 		ff.enq = time.Now()

@@ -10,6 +10,8 @@
 package daemon
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"ctxres/internal/constraint"
@@ -395,6 +397,41 @@ type BatchResult struct {
 	Error      string          `json:"error,omitempty"`
 	Code       Code            `json:"code,omitempty"`
 	Violations []WireViolation `json:"violations,omitempty"`
+}
+
+// InvalidRequest answers a request whose fields cannot form the
+// operation it names, so every server refuses malformed input with the
+// same code and message; ok is false for a well-formed request.
+func InvalidRequest(req *Request) (resp Response, ok bool) {
+	var err error
+	code := CodeApp
+	switch req.Op {
+	case OpSubmit:
+		if req.Context == nil {
+			err = errors.New("submit: missing context")
+		}
+	case OpBatchSubmit:
+		if len(req.Contexts) == 0 {
+			err = errors.New("batch-submit: missing contexts")
+		} else if len(req.Contexts) > MaxBatchContexts {
+			code, err = CodeBadRequest,
+				fmt.Errorf("batch-submit: %d contexts exceeds limit %d", len(req.Contexts), MaxBatchContexts)
+		}
+	case OpUseLatest:
+		if req.Kind == "" {
+			err = errors.New("use-latest: missing kind")
+		}
+	case OpSubscribe, OpUnsubscribe:
+		if req.SubID == "" {
+			code, err = CodeBadRequest, fmt.Errorf("%s: missing subId", req.Op)
+		} else if req.Op == OpSubscribe && (req.Situation == "") == (req.Formula == "") {
+			code, err = CodeBadRequest, errors.New("subscribe: exactly one of situation and formula required")
+		}
+	}
+	if err == nil {
+		return Response{}, false
+	}
+	return errResponseCode(code, err), true
 }
 
 func errResponse(err error) Response {

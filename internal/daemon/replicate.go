@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"net"
 	"sync"
 	"time"
 )
@@ -42,8 +41,8 @@ func WithReplicationSource(src ReplicationSource) Option {
 }
 
 // handleReplicate validates an OpReplicate request; the streaming itself
-// starts in serveConn after the ack is written, taking over the
-// connection's serving goroutine.
+// starts after the ack is written, taking over the connection's serving
+// goroutine (see serverConn.Serve).
 func (s *Server) handleReplicate(req Request) Response {
 	if s.opt.replSource == nil {
 		return errResponse(errors.New("replicate: server has no replication source"))
@@ -58,14 +57,15 @@ func (s *Server) handleReplicate(req Request) Response {
 //
 // The read side is handed to an ack-reader goroutine: followers send
 // OpReplAck position reports upstream on the same connection, and those
-// are what renew the leader's self-fencing lease. The reader owns br
-// from here on (the serving loop never reads again) and its death —
-// follower disconnect, malformed frame — stops the feed, so a follower
-// that stops acking also stops consuming shipper queue space.
-func (s *Server) streamReplication(conn net.Conn, br *bufio.Reader, binary bool, cw *connWriter, req Request) {
+// are what renew the leader's self-fencing lease. The reader owns the
+// connection's reader from here on (the serving loop never reads again)
+// and its death — follower disconnect, malformed frame — stops the feed,
+// so a follower that stops acking also stops consuming shipper queue
+// space.
+func (s *Server) streamReplication(c *Conn, fromSeq uint64) {
 	// The stream idles legitimately between acks; the per-request idle
 	// deadline set by the serving loop must not reap it.
-	_ = conn.SetReadDeadline(time.Time{})
+	_ = c.conn.SetReadDeadline(time.Time{})
 
 	// stop merges "server shutting down" with "ack reader died" for
 	// ServeFeed, which takes a single stop channel.
@@ -74,13 +74,14 @@ func (s *Server) streamReplication(conn net.Conn, br *bufio.Reader, binary bool,
 	closeStop := func() { once.Do(func() { close(stop) }) }
 	go func() {
 		select {
-		case <-s.stop:
+		case <-s.t.stop:
 			closeStop()
 		case <-stop:
 		}
 	}()
 
 	sink, _ := s.opt.replSource.(AckSink)
+	br, binary := c.br, c.binary
 	go func() {
 		defer closeStop()
 		// The reader outlives streamReplication by up to one read (it
@@ -115,25 +116,15 @@ func (s *Server) streamReplication(conn net.Conn, br *bufio.Reader, binary bool,
 
 	send := func(f ReplFrame) bool {
 		frame := f
-		return cw.write(Response{OK: true, Push: true, Repl: &frame}, s.opt.idleTimeout)
+		return c.Push(Response{OK: true, Push: true, Repl: &frame})
 	}
-	_ = s.opt.replSource.ServeFeed(req.FromSeq, send, stop)
+	_ = s.opt.replSource.ServeFeed(fromSeq, send, stop)
 	closeStop()
 }
 
-// validRole reports whether a hello role is known.
-func validRole(role string) bool {
-	switch role {
-	case "", RoleClient, RoleFollower, RoleRouter:
-		return true
-	default:
-		return false
-	}
-}
-
-// Exported wire-framing facades for internal/cluster: the follower and
-// the router gateway speak the daemon's exact framing (hello
-// negotiation included) without reimplementing it.
+// Exported wire-framing facades for internal/cluster: the follower
+// speaks the daemon's exact framing (hello negotiation included) without
+// reimplementing it.
 
 // AppendBinFrame appends one binary frame (len|crc32c|payload) to dst.
 func AppendBinFrame(dst, payload []byte) ([]byte, error) {
@@ -142,11 +133,7 @@ func AppendBinFrame(dst, payload []byte) ([]byte, error) {
 
 // ReadBinFrame reads one binary frame into buf (grown as needed).
 func ReadBinFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
-	p, err := readBinFrame(br, buf)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	return readBinFrame(br, buf)
 }
 
 // ReadLineFrame reads one newline-terminated line-JSON frame.
@@ -154,21 +141,8 @@ func ReadLineFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	return readLine(br, MaxLineBytes, buf)
 }
 
-// IsFrameTooLong reports whether a read failed because the frame or line
-// exceeded MaxLineBytes.
-func IsFrameTooLong(err error) bool {
-	return errors.Is(err, errFrameTooLong) || errors.Is(err, errLineTooLong)
-}
-
-// IsFrameCRC reports whether a binary frame failed its checksum.
-func IsFrameCRC(err error) bool { return errors.Is(err, errFrameCRC) }
-
 // ErrResponse builds a typed error response; the router gateway answers
 // protocol trouble with the same taxonomy a shard daemon would.
 func ErrResponse(code Code, err error) Response {
 	return errResponseCode(code, err)
 }
-
-// InternRequest interns a decoded request's kind strings (see wire.go);
-// exported for the router gateway's decode path.
-func InternRequest(req *Request) { internRequest(req) }

@@ -6,6 +6,7 @@ package daemon
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,14 +60,16 @@ func blockedServer(t *testing.T, maxPending int) (c1, c2 *Client, started, block
 	t.Helper()
 	started = make(chan struct{})
 	block = make(chan struct{})
+	// Only the first accept blocks; it is picked by the hook itself, so
+	// it cannot slip past before the test is ready to receive.
+	var first atomic.Bool
 	_, c1 = startServerWith(t,
 		middleware.WithAdmission(middleware.AdmissionOptions{MaxPending: maxPending}),
 		middleware.WithHooks(middleware.Hooks{
 			OnAccept: func(*ctx.Context) {
-				select {
-				case started <- struct{}{}:
+				if first.CompareAndSwap(false, true) {
+					close(started)
 					<-block
-				default: // later accepts pass through
 				}
 			},
 		}))

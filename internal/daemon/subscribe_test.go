@@ -501,9 +501,13 @@ func TestResubscribeAfterConnCut(t *testing.T) {
 	if _, err := pubClient.Submit(subjLoc("peter", "p1", 1, ctx.WithTTL(2*time.Second))); err != nil {
 		t.Fatal(err)
 	}
-	// The deactivation must arrive on the replacement connection.
+	// The deactivation must arrive on the replacement connection. Wait
+	// for the resubscription itself: the cut connection's subscription is
+	// still registered until its pusher fails the truncated write, so the
+	// count alone can be read before the cut. The replacement is the
+	// third connection (subscriber, publisher, replacement).
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Subscribers == 0 {
+	for st := srv.Stats(); st.Accepted < 3 || st.Subscribers != 1; st = srv.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatal("subscription never re-registered after cut")
 		}
@@ -674,7 +678,7 @@ func TestRejectBusyDeadlineDerivedFromIdleTimeout(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &Server{opt: options{idleTimeout: tc.idle, maxConns: 1}}
+			s := &Transport{opt: options{idleTimeout: tc.idle, maxConns: 1}}
 			c1, c2 := net.Pipe()
 			defer c2.Close()
 			start := time.Now()

@@ -706,11 +706,11 @@ func FuzzBatchSubmitDecode(f *testing.F) {
 		}
 		req.Op = OpBatchSubmit
 		internRequest(&req)
-		s := &Server{
-			mw:    middleware.New(constraint.NewChecker(), strategy.NewDropBad()),
-			start: time.Now(),
+		s := &Server{mw: middleware.New(constraint.NewChecker(), strategy.NewDropBad())}
+		resp, bad := InvalidRequest(&req)
+		if !bad {
+			resp = s.handle(req)
 		}
-		resp := s.handle(req)
 		if resp.OK && len(resp.Results) != len(req.Contexts) {
 			t.Fatalf("results = %d, contexts = %d", len(resp.Results), len(req.Contexts))
 		}

@@ -223,12 +223,16 @@ func TestSoakStorm(t *testing.T) {
 		}(i)
 	}
 
-	// Flapping source: its first submissions are corrupted with large
-	// location jumps, so consecutive readings violate the velocity bound
-	// and the breaker trips; afterwards it submits clean readings forever
-	// and must recover through half-open probing. Zero TTL keeps its
-	// latest reading checkable for the next velocity pair; each accepted
-	// submission retires the previous one.
+	// Flapping source: its readings are corrupted with large location
+	// jumps, so consecutive readings violate the velocity bound and the
+	// breaker trips; afterwards it submits clean readings forever and
+	// must recover through half-open probing. The corruption phase is
+	// keyed on outcomes, not attempts: overload shedding may reject any
+	// number of attempts before the breaker sees one, so corruption lasts
+	// until corruptAdmitted corrupted readings were admitted or the
+	// source is quarantined. Zero TTL keeps its latest reading checkable
+	// for the next velocity pair; each accepted submission retires the
+	// previous one.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -244,20 +248,29 @@ func TestSoakStorm(t *testing.T) {
 			return
 		}
 		inj.Register(ctx.KindLocation, errmodel.LocationJump(200, 400))
+		const corruptAdmitted = 12
 		var seq uint64
 		var prev ctx.ID
+		admitted, quarantined := 0, false
 		for !stopped() {
 			seq++
 			c := ctx.NewLocation("flappy", stamp(), ctx.Point{X: float64(seq)},
 				ctx.WithID(ctx.ID(fmt.Sprintf("f-%d", seq))),
 				ctx.WithSeq(seq), ctx.WithSource("flapper"))
-			if seq <= 12 {
+			corrupt := admitted < corruptAdmitted && !quarantined
+			if corrupt {
 				inj.Apply(c)
 			}
 			ct.submitted.Add(1)
 			_, err := client.Submit(c)
 			ct.classify(err)
+			if daemon.ErrorCode(err) == daemon.CodeQuarantined {
+				quarantined = true
+			}
 			if err == nil {
+				if corrupt {
+					admitted++
+				}
 				ct.accepted.Add(1)
 				if prev != "" {
 					_, _ = client.Use(prev) // may be discarded or swept; both fine

@@ -97,8 +97,10 @@ func writeHistogram(w *bufio.Writer, f *family, value string, h *Histogram) erro
 		formatFloat(math.Float64frombits(h.sumBits.Load()))); err != nil {
 		return err
 	}
+	// _count is the +Inf cumulative from the same bucket read, so the two
+	// always agree even while observations race the scrape.
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-		f.name, labelPart(f.label, value, ""), h.count.Load())
+		f.name, labelPart(f.label, value, ""), cum)
 	return err
 }
 

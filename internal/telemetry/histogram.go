@@ -9,7 +9,7 @@ import (
 
 // Histogram is a fixed-bucket latency histogram. Buckets are defined by
 // their upper bounds in seconds; a final implicit +Inf bucket catches the
-// tail. Observations are two atomic adds plus a binary search over the
+// tail. Observations are one atomic add plus a binary search over the
 // bounds — no locks, no allocation. Safe on a nil receiver.
 //
 // The default bucket scheme (DefaultTimeBuckets) is logarithmic, doubling
@@ -19,9 +19,11 @@ import (
 // known within a factor of 2, interpolated to much better in practice)
 // while p50/p90/p99/max stay derivable from counts alone.
 type Histogram struct {
-	bounds  []float64 // sorted upper bounds, seconds
+	bounds []float64 // sorted upper bounds, seconds
+	// counts are the per-bucket observation counts and the only source
+	// of the total: a separate total counter could be read between an
+	// Observe's two adds and disagree with the buckets' sum.
 	counts  []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits of the observation sum
 	maxBits atomic.Uint64 // float64 bits of the largest observation
 
@@ -68,7 +70,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -123,7 +124,11 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var total uint64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	return total
 }
 
 // HistogramSummary is a JSON-friendly digest of a histogram: count, sum,
@@ -151,7 +156,7 @@ func (h *Histogram) Summary() HistogramSummary {
 		total += counts[i]
 	}
 	s := HistogramSummary{
-		Count: h.count.Load(),
+		Count: total,
 		Sum:   math.Float64frombits(h.sumBits.Load()),
 		Max:   math.Float64frombits(h.maxBits.Load()),
 	}

@@ -36,7 +36,7 @@ type report struct {
 		TracedNsPerCtx   float64 `json:"tracedNsPerCtx"`
 		OverheadPct      float64 `json:"overheadPct"`
 	} `json:"tracingOverhead"`
-	Daemon    *struct {
+	Daemon *struct {
 		Histograms map[string]json.RawMessage `json:"histograms"`
 	} `json:"daemon"`
 	Push *struct {
