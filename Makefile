@@ -77,13 +77,15 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Short deterministic-budget fuzz pass over every fuzz target: the
-# constraint parser/evaluator, the WAL frame and segment scanners, the
+# constraint parser/evaluator (and the evaluator against its eager
+# reference), the WAL frame and segment scanners, the
 # trace reader shared with `ctxwal dump`, and the daemon's binary wire
 # framing and batch-submit decode paths.
 fuzz-smoke:
 	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzLoadConstraints -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzDifferentialParallel -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzDifferentialReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzSegmentScan -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzTraceRead -fuzztime=$(FUZZTIME)

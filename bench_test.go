@@ -284,6 +284,60 @@ func BenchmarkCheckerIncremental(b *testing.B) {
 	}
 }
 
+// rfidAddition returns the RFID application's checker, a universe of the
+// first n reads of its seeded Figure-10 stream (error rate 0.2) and the
+// latest of those reads: the incremental check the middleware runs when
+// that read arrives with n reads in the checking buffer.
+func rfidAddition(tb testing.TB, n int) (*constraint.Checker, constraint.Universe, *ctx.Context) {
+	tb.Helper()
+	cycles, err := rfidmon.Generate(rfidmon.DefaultWorkload(0.2), rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var reads []*ctx.Context
+	for _, cycle := range cycles {
+		reads = append(reads, cycle...)
+	}
+	if len(reads) < n {
+		tb.Fatalf("stream has %d reads, want %d", len(reads), n)
+	}
+	reads = reads[:n]
+	return rfidmon.Checker(), constraint.NewSliceUniverse(reads), reads[n-1]
+}
+
+// BenchmarkRFIDCheckAddition measures the incremental check of the RFID
+// application's five constraints as the checking buffer grows. Per-addition
+// cost should grow linearly with the buffer.
+func BenchmarkRFIDCheckAddition(b *testing.B) {
+	for _, n := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("reads-%d", n), func(b *testing.B) {
+			ch, u, added := rfidAddition(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.CheckAddition(u, added)
+			}
+		})
+	}
+}
+
+// TestRFIDCheckAdditionLinearAllocs pins the incremental check's linear
+// cost with a deterministic measure instead of a timer: quadrupling the
+// buffer from 64 to 256 reads may at most quintuple the allocations of
+// one RFID addition check. A checker that re-examines every pair of
+// reads grows them sixteenfold.
+func TestRFIDCheckAdditionLinearAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		ch, u, added := rfidAddition(t, n)
+		return testing.AllocsPerRun(20, func() { ch.CheckAddition(u, added) })
+	}
+	small, large := allocs(64), allocs(256)
+	if large > 5*small {
+		t.Fatalf("CheckAddition allocations: %.0f at 64 reads, %.0f at 256 (%.1fx, want <= 5x)",
+			small, large, large/small)
+	}
+}
+
 // BenchmarkTrackerAddResolve measures Σ maintenance under churn.
 func BenchmarkTrackerAddResolve(b *testing.B) {
 	cs := benchTrace(64, 0)

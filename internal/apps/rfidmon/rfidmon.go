@@ -118,12 +118,10 @@ func zonesAdjacent(a, b string) constraint.Formula {
 		if !okA || !okB {
 			return true
 		}
-		var ia, ib int
-		if _, err := fmt.Sscanf(za, "zone-%d", &ia); err != nil {
+		ia, okA := zoneNumber(za)
+		ib, okB := zoneNumber(zb)
+		if !okA || !okB {
 			return true // unparseable zones are rm-known-zone's business
-		}
-		if _, err := fmt.Sscanf(zb, "zone-%d", &ib); err != nil {
-			return true
 		}
 		d := ia - ib
 		return d >= -1 && d <= 1
@@ -163,20 +161,50 @@ func readerMatchesZone(a string) constraint.Formula {
 		if !okZ || !okR {
 			return false
 		}
-		var iz, ir int
-		if _, err := fmt.Sscanf(z, "zone-%d", &iz); err != nil {
+		iz, ok := zoneNumber(z)
+		if !ok {
 			return true
 		}
-		if _, err := fmt.Sscanf(r, "reader-%d", &ir); err != nil {
-			// Corrupted reads rewrite the reader as "reader-zone-N".
-			var alt int
-			if _, err2 := fmt.Sscanf(r, "reader-zone-%d", &alt); err2 == nil {
-				return alt == iz
-			}
-			return false
-		}
-		return iz == ir
+		ir, ok := readerZone(r)
+		return ok && ir == iz
 	}, a)
+}
+
+// Zone and reader numbers of the deployment's own names, so the predicates
+// above parse the strings the generator produces without fmt.Sscanf.
+var zoneNumbers, readerNumbers = func() (zones, readers map[string]int) {
+	zones = make(map[string]int, Zones)
+	readers = make(map[string]int, 2*Zones)
+	for i, z := range zoneNames() {
+		zones[z] = i + 1
+		readers[fmt.Sprintf("reader-%d", i+1)] = i + 1
+		readers["reader-"+z] = i + 1 // a corrupted read's reader
+	}
+	return zones, readers
+}()
+
+// zoneNumber is N of a "zone-N" name, as fmt.Sscanf(z, "zone-%d") reads it.
+func zoneNumber(z string) (int, bool) {
+	if n, ok := zoneNumbers[z]; ok {
+		return n, true
+	}
+	var n int
+	_, err := fmt.Sscanf(z, "zone-%d", &n)
+	return n, err == nil
+}
+
+// readerZone is the zone number a reader name claims: N of "reader-N", or
+// of "reader-zone-N", the name corrupted reads carry.
+func readerZone(r string) (int, bool) {
+	if n, ok := readerNumbers[r]; ok {
+		return n, true
+	}
+	var n int
+	if _, err := fmt.Sscanf(r, "reader-%d", &n); err == nil {
+		return n, true
+	}
+	_, err := fmt.Sscanf(r, "reader-zone-%d", &n)
+	return n, err == nil
 }
 
 // Situations returns the application's three shelf-monitoring situations

@@ -1,6 +1,7 @@
 package rfidmon
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -205,4 +206,56 @@ func hasViolation(vios []constraint.Violation, name string) bool {
 		}
 	}
 	return false
+}
+
+// TestZoneAndReaderParseMatchSscanf compares the table-backed zone and
+// reader parsers with the fmt.Sscanf parse they replace, on every zone and
+// reader name the seeded generator emits plus malformed names.
+func TestZoneAndReaderParseMatchSscanf(t *testing.T) {
+	oldZone := func(z string) (int, bool) {
+		var n int
+		_, err := fmt.Sscanf(z, "zone-%d", &n)
+		return n, err == nil
+	}
+	oldReader := func(r string) (int, bool) {
+		var n int
+		if _, err := fmt.Sscanf(r, "reader-%d", &n); err == nil {
+			return n, true
+		}
+		var alt int
+		_, err := fmt.Sscanf(r, "reader-zone-%d", &alt)
+		return alt, err == nil
+	}
+	inputs := []string{"", "zone-", "zone-01", "zone-1x", "zone-+1", "zone--1", "zone-9",
+		"reader-zone-3", "reader-", "reader-02", "reader-zone-", "reader-zone-7x", "reader-x"}
+	cycles, err := Generate(DefaultWorkload(0.5), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated := map[string]bool{}
+	for _, cycle := range cycles {
+		for _, c := range cycle {
+			z, _ := rfid.ReadZone(c)
+			r, _ := c.StrField(rfid.FieldReader)
+			generated[z], generated[r] = true, true
+		}
+	}
+	if !generated["reader-zone-1"] && !generated["reader-zone-2"] {
+		t.Fatalf("generator emitted no corrupted reader names: %v", generated)
+	}
+	for s := range generated {
+		inputs = append(inputs, s)
+	}
+	for _, s := range inputs {
+		wn, wok := oldZone(s)
+		gn, gok := zoneNumber(s)
+		if wok != gok || (wok && wn != gn) {
+			t.Errorf("zoneNumber(%q) = %d, %v; Sscanf gives %d, %v", s, gn, gok, wn, wok)
+		}
+		wn, wok = oldReader(s)
+		gn, gok = readerZone(s)
+		if wok != gok || (wok && wn != gn) {
+			t.Errorf("readerZone(%q) = %d, %v; Sscanf gives %d, %v", s, gn, gok, wn, wok)
+		}
+	}
 }

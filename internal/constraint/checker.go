@@ -3,7 +3,9 @@ package constraint
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"ctxres/internal/ctx"
 )
@@ -50,8 +52,11 @@ var (
 //
 // Evaluation model: every check runs against an immutable snapshot of the
 // universe (the pool copies its kind index under lock before handing it
-// over), so evaluation never observes concurrent pool mutation. On top of
-// that snapshot the checker offers two equivalent evaluators:
+// over), so evaluation never observes concurrent pool mutation. Checking
+// reads only violation links, so no satisfaction link is ever built for
+// it, and an incremental check of a two-variable constraint examines the
+// pairs involving the new context only: 2N−1 of them over N contexts.
+// On top of that snapshot the checker offers two equivalent evaluators:
 //
 //   - the serial evaluator (Check, CheckAddition), used by default;
 //   - the parallel evaluator (CheckParallel, CheckAdditionParallel in
@@ -70,17 +75,24 @@ var (
 // mutation.
 type Checker struct {
 	constraints []*Constraint
+	meta        []constraintMeta // parallel to constraints
 	byName      map[string]*Constraint
-	kindsOf     map[string]map[ctx.Kind]bool
-	universalOK map[string]bool
+	// kinds is the union of every constraint's kinds. Register replaces
+	// it rather than mutating it, so the map Kinds hands out never changes.
+	kinds map[ctx.Kind]bool
+}
+
+// constraintMeta is what registration derives from a constraint's formula.
+type constraintMeta struct {
+	kinds     map[ctx.Kind]bool // kinds the formula quantifies over
+	universal bool              // incremental checking is sound
 }
 
 // NewChecker returns an empty checker.
 func NewChecker() *Checker {
 	return &Checker{
-		byName:      make(map[string]*Constraint),
-		kindsOf:     make(map[string]map[ctx.Kind]bool),
-		universalOK: make(map[string]bool),
+		byName: make(map[string]*Constraint),
+		kinds:  make(map[ctx.Kind]bool),
 	}
 }
 
@@ -100,12 +112,13 @@ func (ch *Checker) Register(c *Constraint) error {
 	if err := checkClosed(c.Formula, map[string]bool{}); err != nil {
 		return fmt.Errorf("constraint %q: %w", c.Name, err)
 	}
-	kinds := make(map[ctx.Kind]bool)
-	c.Formula.collectKinds(kinds)
+	kinds := FormulaKinds(c.Formula)
+	union := maps.Clone(ch.kinds)
+	maps.Copy(union, kinds)
 	ch.constraints = append(ch.constraints, c)
+	ch.meta = append(ch.meta, constraintMeta{kinds: kinds, universal: c.Formula.universal(false)})
 	ch.byName[c.Name] = c
-	ch.kindsOf[c.Name] = kinds
-	ch.universalOK[c.Name] = c.Formula.universal(false)
+	ch.kinds = union
 	return nil
 }
 
@@ -127,25 +140,23 @@ func (ch *Checker) Constraints() []*Constraint {
 // Relevant reports whether any registered constraint quantifies over the
 // given kind. Contexts of irrelevant kinds bypass buffering entirely
 // (Part 1 of the drop-bad resolution process, Figure 7).
-func (ch *Checker) Relevant(kind ctx.Kind) bool {
-	for _, kinds := range ch.kindsOf {
-		if kinds[kind] {
-			return true
-		}
-	}
-	return false
-}
+func (ch *Checker) Relevant(kind ctx.Kind) bool { return ch.kinds[kind] }
+
+// Kinds returns the union of context kinds the registered constraints
+// quantify over. Pool snapshots use it to enumerate only candidate
+// bindings whose kinds some constraint can actually inspect. The map is
+// shared and must not be mutated; a later Register does not change it.
+func (ch *Checker) Kinds() map[ctx.Kind]bool { return ch.kinds }
 
 // Check evaluates every constraint against the universe and returns all
 // violations in a deterministic order.
 func (ch *Checker) Check(u Universe) []Violation {
 	var out []Violation
+	s := newEvalState(u, nil)
 	for _, c := range ch.constraints {
-		r := c.Formula.eval(u, Env{}, nil)
-		if r.Satisfied {
-			continue
+		if r := c.Formula.eval(s, needVio); !r.Satisfied {
+			out = append(out, violationsOf(c.Name, r.Links)...)
 		}
-		out = append(out, violationsOf(c.Name, r.Links)...)
 	}
 	return out
 }
@@ -161,39 +172,64 @@ func (ch *Checker) CheckAddition(u Universe, added *ctx.Context) []Violation {
 		return nil
 	}
 	var out []Violation
-	for _, c := range ch.constraints {
-		if !ch.kindsOf[c.Name][added.Kind] {
+	s := newEvalState(u, added)
+	for i, c := range ch.constraints {
+		m := ch.meta[i]
+		if !m.kinds[added.Kind] {
 			continue
 		}
-		if ch.universalOK[c.Name] {
-			r := c.Formula.eval(u, Env{}, added)
-			if !r.Satisfied {
-				out = append(out, violationsOf(c.Name, r.Links)...)
-			}
-			continue
+		s.pivot = nil
+		if m.universal {
+			s.pivot = added
 		}
-		r := c.Formula.eval(u, Env{}, nil)
-		if r.Satisfied {
-			continue
-		}
-		for _, l := range r.Links {
-			if l.Contains(added.ID) {
-				out = append(out, Violation{Constraint: c.Name, Link: l})
-			}
+		r := c.Formula.eval(s, needVio)
+		if !r.Satisfied {
+			out = append(out, additionViolations(c.Name, m.universal, r.Links, added)...)
 		}
 	}
 	return out
 }
 
-func violationsOf(name string, links []Link) []Violation {
-	links = dedupeLinks(links)
-	sort.Slice(links, func(i, j int) bool { return links[i].Key() < links[j].Key() })
-	out := make([]Violation, 0, len(links))
+// additionViolations turns the violation links of one constraint checked
+// for an addition into violations. An incremental check's links all
+// involve the addition; a full re-check's are filtered to those that do.
+func additionViolations(name string, incremental bool, links []Link, added *ctx.Context) []Violation {
+	if incremental {
+		return violationsOf(name, links)
+	}
+	var out []Violation
 	for _, l := range links {
-		if l.Len() == 0 {
-			continue // empty explanatory link carries no discardable context
+		if l.Contains(added.ID) {
+			out = append(out, Violation{Constraint: name, Link: l})
 		}
-		out = append(out, Violation{Constraint: name, Link: l})
+	}
+	return out
+}
+
+// violationsOf turns one constraint's violation links into violations:
+// deduplicated, sorted by canonical link key, empty links dropped. Each
+// key is built once, not once per comparison.
+func violationsOf(name string, links []Link) []Violation {
+	type keyed struct {
+		key  string
+		link Link
+	}
+	ks := make([]keyed, 0, len(links))
+	seen := make(map[string]bool, len(links))
+	for _, l := range links {
+		k := l.Key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if l.Len() > 0 { // an empty link carries no discardable context
+			ks = append(ks, keyed{key: k, link: l})
+		}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]Violation, len(ks))
+	for i, k := range ks {
+		out[i] = Violation{Constraint: name, Link: k.link}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -98,6 +99,14 @@ func TestRelevant(t *testing.T) {
 	if ch.Relevant(ctx.KindRFIDRead) {
 		t.Fatal("rfid relevant")
 	}
+	before := ch.Kinds()
+	ch.MustRegister(&Constraint{Name: "reads", Formula: Forall("r", ctx.KindRFIDRead, True())})
+	if !ch.Relevant(ctx.KindRFIDRead) || !ch.Kinds()[ctx.KindRFIDRead] || !ch.Kinds()[ctx.KindLocation] {
+		t.Fatalf("after a second Register: Kinds() = %v", ch.Kinds())
+	}
+	if len(before) != 1 || !before[ctx.KindLocation] {
+		t.Fatalf("Register changed the map Kinds returned earlier: %v", before)
+	}
 }
 
 func TestConstraintsCopy(t *testing.T) {
@@ -191,6 +200,38 @@ func TestCheckAdditionSkipsIrrelevantKind(t *testing.T) {
 	}
 	if vios := ch.CheckAddition(u, nil); vios != nil {
 		t.Fatalf("nil addition produced %v", vios)
+	}
+}
+
+// TestCheckAdditionExaminesPairsWithPivot counts the pairs an incremental
+// check of a two-variable constraint examines: with the added context
+// bound first, every pair; with any other context bound first, only the
+// pair binding the added context second. Over N contexts that is 2N-1
+// pairs, whichever context was added, not the N*N of a full check.
+func TestCheckAdditionExaminesPairsWithPivot(t *testing.T) {
+	const n = 40
+	examined := 0
+	ch := NewChecker()
+	ch.MustRegister(&Constraint{Name: "pairs", Formula: Forall("a", ctx.KindLocation,
+		Forall("b", ctx.KindLocation, Implies(
+			Pred("counted", func([]*ctx.Context) bool { examined++; return true }, "a", "b"),
+			True())))})
+	var cs []*ctx.Context
+	for i := 0; i < n; i++ {
+		cs = append(cs, mkLoc(t, fmt.Sprintf("l%02d", i), uint64(i), float64(i), 0))
+	}
+	u := NewSliceUniverse(cs)
+	for _, added := range []*ctx.Context{cs[0], cs[n/2], cs[n-1]} {
+		examined = 0
+		ch.CheckAddition(u, added)
+		if examined != 2*n-1 {
+			t.Fatalf("addition of %s examined %d pairs, want %d", added.ID, examined, 2*n-1)
+		}
+	}
+	examined = 0
+	ch.Check(u)
+	if examined != n*n {
+		t.Fatalf("full check examined %d pairs, want %d", examined, n*n)
 	}
 }
 

@@ -141,12 +141,12 @@ func assertSameViolations(t *testing.T, label string, want, got []Violation) {
 	t.Helper()
 	w, g := renderViolations(want), renderViolations(got)
 	if len(w) != len(g) {
-		t.Fatalf("%s: serial %d violations %v, parallel %d violations %v",
+		t.Fatalf("%s: want %d violations %v, got %d violations %v",
 			label, len(w), w, len(g), g)
 	}
 	for i := range w {
 		if w[i] != g[i] {
-			t.Fatalf("%s: violation %d differs: serial %q, parallel %q\nserial:   %v\nparallel: %v",
+			t.Fatalf("%s: violation %d differs: want %q, got %q\nwant: %v\ngot:  %v",
 				label, i, w[i], g[i], w, g)
 		}
 	}

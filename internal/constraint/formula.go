@@ -7,18 +7,6 @@ import (
 	"ctxres/internal/ctx"
 )
 
-// Env is a variable-binding environment mapping quantified variable names
-// to the contexts currently bound.
-type Env map[string]*ctx.Context
-
-func (e Env) clone() Env {
-	out := make(Env, len(e)+1)
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
 // Result is the outcome of evaluating a formula under an environment:
 // whether it holds, and the links explaining that truth value. For a
 // satisfied formula the links say which contexts made it true; for a
@@ -28,23 +16,106 @@ type Result struct {
 	Links     []Link
 }
 
-func satisfied(links ...Link) Result { return Result{Satisfied: true, Links: links} }
-func violated(links ...Link) Result  { return Result{Satisfied: false, Links: links} }
+// need tells a node which of its links the caller will read: the
+// satisfaction links (needSat), the violation links (needVio), both, or
+// none. A node builds the links of a truth value only when that value's
+// polarity is needed; the truth value itself is always exact. Checking
+// reads violation links only, so it never builds satisfaction links
+// below a node that does not need them.
+type need uint8
+
+const (
+	needSat need = 1 << iota
+	needVio
+	needBoth = needSat | needVio
+)
+
+// swap exchanges the polarities, as negation does.
+func (n need) swap() need { return n&needSat<<1 | n&needVio>>1 }
+
+// wants reports whether the links of a result with the given truth value
+// are needed.
+func (n need) wants(holds bool) bool {
+	if holds {
+		return n&needSat != 0
+	}
+	return n&needVio != 0
+}
+
+// evalState is the state of one evaluation: the universe, the bindings of
+// the enclosing quantifiers, and in incremental mode the pivot (the added
+// context every examined binding must involve). Each quantifier pushes one
+// binding slot, rebinds it in place for every context of its domain, and
+// pops it when its loop ends, so no binding copies the environment. The
+// pivot's positions in each kind's domain are found by one scan on first
+// use and reused for the rest of the evaluation. A state is not safe for
+// concurrent use: each parallel shard evaluates with its own.
+type evalState struct {
+	u     Universe
+	env   []binding // innermost last
+	pivot *ctx.Context
+	at    []pivotAt
+	bound []*ctx.Context // predicate argument scratch
+}
+
+type binding struct {
+	name string
+	c    *ctx.Context
+}
+
+// pivotAt records where the pivot sits in one kind's domain.
+type pivotAt struct {
+	kind ctx.Kind
+	idx  []int
+}
+
+func newEvalState(u Universe, pivot *ctx.Context) *evalState {
+	return &evalState{u: u, pivot: pivot}
+}
+
+// lookup returns the innermost binding of name.
+func (s *evalState) lookup(name string) (*ctx.Context, bool) {
+	for i := len(s.env) - 1; i >= 0; i-- {
+		if s.env[i].name == name {
+			return s.env[i].c, true
+		}
+	}
+	return nil, false
+}
+
+// pivotPositions returns the indices in domain, the domain of kind, of the
+// contexts whose ID is the pivot's. s.pivot must be set.
+func (s *evalState) pivotPositions(kind ctx.Kind, domain []*ctx.Context) []int {
+	for _, p := range s.at {
+		if p.kind == kind {
+			return p.idx
+		}
+	}
+	var idx []int
+	for i, c := range domain {
+		if c.ID == s.pivot.ID {
+			idx = append(idx, i)
+		}
+	}
+	s.at = append(s.at, pivotAt{kind: kind, idx: idx})
+	return idx
+}
 
 // Eval evaluates a closed formula against a universe, returning its truth
-// value and explanatory links. It is the public entry point used by the
-// situation engine and by callers outside the checker.
+// value and explanatory links of either polarity. It is the public entry
+// point used by the situation engine and by callers outside the checker.
 func Eval(f Formula, u Universe) Result {
-	return f.eval(u, Env{}, nil)
+	return f.eval(newEvalState(u, nil), needBoth)
 }
 
 // Formula is a node of the constraint language. Formulas are immutable and
 // safe for concurrent evaluation.
 type Formula interface {
-	// eval computes the truth value and explanatory links under env,
-	// quantifying over u. pivot, when non-nil, restricts quantifiers to
-	// bindings that include the pivot context (incremental mode).
-	eval(u Universe, env Env, pivot *ctx.Context) Result
+	// eval computes the truth value under s and, when nd asks for that
+	// value's polarity, the explanatory links. With s.pivot set,
+	// quantifiers examine only bindings that include the pivot context
+	// (incremental mode).
+	eval(s *evalState, nd need) Result
 	// collectKinds adds every context kind the formula quantifies over.
 	collectKinds(kinds map[ctx.Kind]bool)
 	// universal reports whether the formula is in the universal fragment
@@ -56,7 +127,8 @@ type Formula interface {
 }
 
 // PredicateFunc decides a predicate over the contexts bound to its
-// variables, in declaration order.
+// variables, in declaration order. The slice is only valid for the
+// duration of the call.
 type PredicateFunc func(bound []*ctx.Context) bool
 
 type predicate struct {
@@ -78,22 +150,26 @@ func Pred(name string, fn PredicateFunc, vars ...string) Formula {
 	return &predicate{name: name, fn: fn, vars: vars}
 }
 
-func (p *predicate) eval(_ Universe, env Env, _ *ctx.Context) Result {
-	bound := make([]*ctx.Context, len(p.vars))
-	for i, v := range p.vars {
-		c, ok := env[v]
+func (p *predicate) eval(s *evalState, nd need) Result {
+	bound := s.bound[:0]
+	for _, v := range p.vars {
+		c, ok := s.lookup(v)
 		if !ok {
 			// Unbound variable: treat as violated with an empty link. This
 			// is a constraint-authoring error surfaced by Checker.Register.
-			return violated(NewLink())
+			if nd&needVio == 0 {
+				return Result{}
+			}
+			return Result{Links: []Link{NewLink()}}
 		}
-		bound[i] = c
+		bound = append(bound, c)
 	}
-	link := NewLink(bound...)
-	if p.fn(bound) {
-		return satisfied(link)
+	s.bound = bound
+	holds := p.fn(bound)
+	if !nd.wants(holds) {
+		return Result{Satisfied: holds}
 	}
-	return violated(link)
+	return Result{Satisfied: holds, Links: []Link{NewLink(bound...)}}
 }
 
 func (p *predicate) collectKinds(map[ctx.Kind]bool) {}
@@ -110,9 +186,10 @@ type not struct{ f Formula }
 // flipped truth value).
 func Not(f Formula) Formula { return &not{f: f} }
 
-func (n *not) eval(u Universe, env Env, pivot *ctx.Context) Result {
-	r := n.f.eval(u, env, pivot)
-	return Result{Satisfied: !r.Satisfied, Links: r.Links}
+func (n *not) eval(s *evalState, nd need) Result {
+	r := n.f.eval(s, nd.swap())
+	r.Satisfied = !r.Satisfied
+	return r
 }
 
 func (n *not) collectKinds(kinds map[ctx.Kind]bool) { n.f.collectKinds(kinds) }
@@ -127,17 +204,26 @@ type and struct{ fs []Formula }
 // the union over violated conjuncts); satisfied links cross-combine.
 func And(fs ...Formula) Formula { return &and{fs: fs} }
 
-func (a *and) eval(u Universe, env Env, pivot *ctx.Context) Result {
+func (a *and) eval(s *evalState, nd need) Result {
 	var sat, vio []Link
 	allSat := true
 	for _, f := range a.fs {
-		r := f.eval(u, env, pivot)
-		if r.Satisfied {
-			sat = crossLinks(sat, r.Links)
-		} else {
-			allSat = false
-			vio = append(vio, r.Links...)
+		child := nd & needVio
+		if allSat {
+			child |= nd & needSat
 		}
+		r := f.eval(s, child)
+		if r.Satisfied {
+			if allSat && nd&needSat != 0 {
+				sat = crossLinks(sat, r.Links)
+			}
+			continue
+		}
+		allSat = false
+		if nd&needVio == 0 {
+			break // violated, and nobody reads why
+		}
+		vio = append(vio, r.Links...)
 	}
 	if allSat {
 		return Result{Satisfied: true, Links: sat}
@@ -169,17 +255,26 @@ type or struct{ fs []Formula }
 // every disjunct contributes to the failure.
 func Or(fs ...Formula) Formula { return &or{fs: fs} }
 
-func (o *or) eval(u Universe, env Env, pivot *ctx.Context) Result {
+func (o *or) eval(s *evalState, nd need) Result {
 	var sat, vio []Link
 	anySat := false
 	for _, f := range o.fs {
-		r := f.eval(u, env, pivot)
-		if r.Satisfied {
-			anySat = true
-			sat = append(sat, r.Links...)
-		} else {
-			vio = crossLinks(vio, r.Links)
+		child := nd & needSat
+		if !anySat {
+			child |= nd & needVio
 		}
+		r := f.eval(s, child)
+		if !r.Satisfied {
+			if !anySat && nd&needVio != 0 {
+				vio = crossLinks(vio, r.Links)
+			}
+			continue
+		}
+		anySat = true
+		if nd&needSat == 0 {
+			break // satisfied, and nobody reads why
+		}
+		sat = append(sat, r.Links...)
 	}
 	if anySat {
 		return Result{Satisfied: true, Links: dedupeLinks(sat)}
@@ -211,16 +306,29 @@ type implies struct{ lhs, rhs Formula }
 // violation links, so the inconsistency names every contributing context.
 func Implies(lhs, rhs Formula) Formula { return &implies{lhs: lhs, rhs: rhs} }
 
-func (im *implies) eval(u Universe, env Env, pivot *ctx.Context) Result {
-	l := im.lhs.eval(u, env, pivot)
+func (im *implies) eval(s *evalState, nd need) Result {
+	// A violated lhs makes the implication hold, explained by the lhs
+	// violation links; a satisfied lhs adds its satisfaction links to
+	// either outcome. When no satisfaction link is read, as in checking,
+	// the lhs is decided without links and evaluated again for them only
+	// once the rhs is violated: formulas are pure, so the truth value is
+	// the same, and the usual failing guard builds nothing.
+	var lhsNeed need
+	if nd&needSat != 0 {
+		lhsNeed = needBoth
+	}
+	l := im.lhs.eval(s, lhsNeed)
 	if !l.Satisfied {
 		return Result{Satisfied: true, Links: l.Links}
 	}
-	r := im.rhs.eval(u, env, pivot)
-	if r.Satisfied {
-		return Result{Satisfied: true, Links: crossLinks(l.Links, r.Links)}
+	r := im.rhs.eval(s, nd)
+	if !nd.wants(r.Satisfied) {
+		return Result{Satisfied: r.Satisfied}
 	}
-	return Result{Satisfied: false, Links: crossLinks(l.Links, r.Links)}
+	if lhsNeed == 0 {
+		l = im.lhs.eval(s, needSat)
+	}
+	return Result{Satisfied: r.Satisfied, Links: crossLinks(l.Links, r.Links)}
 }
 
 func (im *implies) collectKinds(kinds map[ctx.Kind]bool) {
@@ -241,21 +349,25 @@ type forall struct {
 	varName string
 	kind    ctx.Kind
 	body    Formula
+	// bodyKinds holds the kinds quantified inside body: a pivot of any
+	// other kind can only be bound by this quantifier.
+	bodyKinds map[ctx.Kind]bool
 }
 
 // Forall quantifies varName over all contexts of the given kind in the
 // universe. Violated if any binding violates the body; the violation links
 // are the union over violating bindings.
 func Forall(varName string, kind ctx.Kind, body Formula) Formula {
-	return &forall{varName: varName, kind: kind, body: body}
+	return &forall{varName: varName, kind: kind, body: body, bodyKinds: FormulaKinds(body)}
 }
 
-func (f *forall) eval(u Universe, env Env, pivot *ctx.Context) Result {
-	return f.evalDomain(u, env, pivot, u.ContextsOfKind(f.kind)).result()
+func (f *forall) eval(s *evalState, nd need) Result {
+	domain := s.u.ContextsOfKind(f.kind)
+	return f.evalRange(s, nd, domain, 0, len(domain)).result()
 }
 
 // forallShard is the raw outcome of evaluating a forall body over a
-// contiguous sub-slice of its domain: links collected in binding order, not
+// contiguous sub-range of its domain: links collected in binding order, not
 // yet deduplicated. The parallel evaluator partitions the domain into
 // shards, evaluates them concurrently, and merges shards by concatenation
 // in domain order, so the final deduplication sees links in exactly the
@@ -274,33 +386,66 @@ func (s forallShard) result() Result {
 	return Result{Satisfied: false, Links: dedupeLinks(s.vio)}
 }
 
-// evalDomain evaluates the forall body over the given slice of candidate
-// bindings (a contiguous sub-range of the quantifier's domain).
-func (f *forall) evalDomain(u Universe, env Env, pivot *ctx.Context, domain []*ctx.Context) forallShard {
+// evalRange evaluates the forall body over the bindings domain[lo:hi], a
+// contiguous sub-range of the quantifier's domain.
+//
+// Incremental pruning: with a pivot set, a binding that is not the pivot
+// itself only matters if a quantifier below can still bind the pivot;
+// otherwise it was already checked before the pivot arrived. When no
+// quantifier below ranges over the pivot's kind, only the pivot's own
+// bindings are evaluated, found by position instead of by visiting the
+// whole range. Once the pivot is bound, the body is evaluated unrestricted.
+func (f *forall) evalRange(s *evalState, nd need, domain []*ctx.Context, lo, hi int) forallShard {
 	out := forallShard{allSat: true}
-	for _, c := range domain {
-		env2 := env.clone()
-		env2[f.varName] = c
-		// Incremental pruning: if a pivot is set and neither this binding
-		// nor any enclosing binding nor any remaining quantifier can
-		// involve the pivot, the binding was already checked before the
-		// pivot arrived — skip it.
-		p := pivot
-		if p != nil && (c.ID == p.ID || envContains(env, p)) {
-			p = nil // pivot covered; evaluate body unrestricted
+	pivot := s.pivot
+	slot := len(s.env)
+	s.env = append(s.env, binding{name: f.varName})
+	if pivot != nil && !f.bodyKinds[pivot.Kind] {
+		at := s.pivotPositions(f.kind, domain)
+		s.pivot = nil
+		for _, i := range at {
+			if i >= lo && i < hi && !f.bindOne(s, nd, slot, domain[i], &out) {
+				break
+			}
 		}
-		if p != nil && !quantifiesOverKind(f.body, p.Kind) {
-			continue // binding cannot involve the pivot anywhere below
-		}
-		r := f.body.eval(u, env2, p)
-		if r.Satisfied {
-			out.sat = append(out.sat, r.Links...)
-		} else {
-			out.allSat = false
-			out.vio = append(out.vio, r.Links...)
+	} else {
+		for i := lo; i < hi; i++ {
+			c := domain[i]
+			if pivot != nil && c.ID == pivot.ID {
+				s.pivot = nil
+			}
+			more := f.bindOne(s, nd, slot, c, &out)
+			s.pivot = pivot
+			if !more {
+				break
+			}
 		}
 	}
+	s.pivot = pivot
+	s.env = s.env[:slot]
 	return out
+}
+
+// bindOne evaluates the body with the variable's slot bound to c and folds
+// the outcome into out. It reports whether evaluation should go on: false once
+// the forall is violated and nobody reads why.
+func (f *forall) bindOne(s *evalState, nd need, slot int, c *ctx.Context, out *forallShard) bool {
+	s.env[slot].c = c
+	child := nd & needVio
+	if out.allSat {
+		child |= nd & needSat
+	}
+	r := f.body.eval(s, child)
+	if r.Satisfied {
+		if out.allSat && nd&needSat != 0 {
+			out.sat = append(out.sat, r.Links...)
+		}
+		return true
+	}
+	out.allSat = false
+	out.sat = nil
+	out.vio = append(out.vio, r.Links...)
+	return nd&needVio != 0
 }
 
 func (f *forall) collectKinds(kinds map[ctx.Kind]bool) {
@@ -333,21 +478,31 @@ func Exists(varName string, kind ctx.Kind, body Formula) Formula {
 	return &exists{varName: varName, kind: kind, body: body}
 }
 
-func (e *exists) eval(u Universe, env Env, pivot *ctx.Context) Result {
-	domain := u.ContextsOfKind(e.kind)
+func (e *exists) eval(s *evalState, nd need) Result {
 	var sat, vio []Link
 	anySat := false
-	for _, c := range domain {
-		env2 := env.clone()
-		env2[e.varName] = c
-		r := e.body.eval(u, env2, pivot)
-		if r.Satisfied {
-			anySat = true
-			sat = append(sat, r.Links...)
-		} else {
-			vio = append(vio, r.Links...)
+	slot := len(s.env)
+	s.env = append(s.env, binding{name: e.varName})
+	for _, c := range s.u.ContextsOfKind(e.kind) {
+		s.env[slot].c = c
+		child := nd & needSat
+		if !anySat {
+			child |= nd & needVio
 		}
+		r := e.body.eval(s, child)
+		if !r.Satisfied {
+			if !anySat {
+				vio = append(vio, r.Links...)
+			}
+			continue
+		}
+		anySat = true
+		if nd&needSat == 0 {
+			break // satisfied, and nobody reads why
+		}
+		sat = append(sat, r.Links...)
 	}
+	s.env = s.env[:slot]
 	if anySat {
 		return Result{Satisfied: true, Links: dedupeLinks(sat)}
 	}
@@ -381,23 +536,6 @@ func joinFormulas(op string, fs []Formula) string {
 		parts[i] = f.String()
 	}
 	return "(" + strings.Join(parts, " "+op+" ") + ")"
-}
-
-func envContains(env Env, c *ctx.Context) bool {
-	for _, b := range env {
-		if b != nil && b.ID == c.ID {
-			return true
-		}
-	}
-	return false
-}
-
-// quantifiesOverKind reports whether any quantifier inside f ranges over
-// the given kind (so a pivot of that kind could still be bound below).
-func quantifiesOverKind(f Formula, kind ctx.Kind) bool {
-	kinds := make(map[ctx.Kind]bool)
-	f.collectKinds(kinds)
-	return kinds[kind]
 }
 
 // FormulaKinds returns the set of context kinds the formula quantifies

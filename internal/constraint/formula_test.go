@@ -24,7 +24,7 @@ func evalClosed(t *testing.T, f Formula, u Universe) Result {
 	if err := checkClosed(f, map[string]bool{}); err != nil {
 		t.Fatalf("formula not closed: %v", err)
 	}
-	return f.eval(u, Env{}, nil)
+	return Eval(f, u)
 }
 
 func TestTrueFalse(t *testing.T) {
@@ -39,7 +39,7 @@ func TestTrueFalse(t *testing.T) {
 
 func TestPredUnboundVariableViolates(t *testing.T) {
 	p := Pred("p", func([]*ctx.Context) bool { return true }, "ghost")
-	r := p.eval(NewSliceUniverse(nil), Env{}, nil)
+	r := Eval(p, NewSliceUniverse(nil))
 	if r.Satisfied {
 		t.Fatal("unbound predicate satisfied")
 	}

@@ -13,10 +13,22 @@
 // 2006): when a new context arrives, only variable bindings involving that
 // context are (re-)examined. Incremental mode is sound for the universal
 // fragment (no exists); Checker verifies this at registration time.
+//
+// Evaluation costs a predicate call per examined binding. Quantifiers bind
+// their variable in place, in a stack of binding slots that one evaluation
+// reuses throughout. In incremental mode a quantifier under which no
+// quantifier can bind the added context evaluates that context's own
+// binding alone, found by position, instead of visiting its whole domain.
+// Each node is told which links its caller reads (satisfaction, violation,
+// both or neither) and builds only those: the checker reads violation
+// links alone, while Eval returns both. A link holds the handful of
+// contexts one binding involves, so it is canonicalized by sorting,
+// without a map.
 package constraint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"ctxres/internal/ctx"
@@ -30,19 +42,24 @@ type Link struct {
 }
 
 // NewLink builds a canonical link from the given contexts. Nil entries are
-// dropped; duplicates (by ID) collapse.
+// dropped; duplicates (by ID) collapse to their first occurrence.
 func NewLink(contexts ...*ctx.Context) Link {
-	seen := make(map[ctx.ID]bool, len(contexts))
 	out := make([]*ctx.Context, 0, len(contexts))
 	for _, c := range contexts {
-		if c == nil || seen[c.ID] {
-			continue
+		if c != nil {
+			out = append(out, c)
 		}
-		seen[c.ID] = true
-		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return Link{contexts: out}
+	return canonical(out)
+}
+
+// canonical sorts the non-nil contexts by ID in place and keeps the first
+// occurrence of each ID. The stable sort keeps equal IDs in argument
+// order, and links hold a handful of contexts, so no map is needed to
+// find duplicates.
+func canonical(cs []*ctx.Context) Link {
+	slices.SortStableFunc(cs, func(a, b *ctx.Context) int { return cmp.Compare(a.ID, b.ID) })
+	return Link{contexts: slices.CompactFunc(cs, func(a, b *ctx.Context) bool { return a.ID == b.ID })}
 }
 
 // Contexts returns the member contexts in canonical (ID) order. The caller
@@ -80,7 +97,7 @@ func (l Link) Union(o Link) Link {
 	merged := make([]*ctx.Context, 0, len(l.contexts)+len(o.contexts))
 	merged = append(merged, l.contexts...)
 	merged = append(merged, o.contexts...)
-	return NewLink(merged...)
+	return canonical(merged)
 }
 
 // String renders the link as a sorted ID tuple.

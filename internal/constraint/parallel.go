@@ -38,19 +38,6 @@ type CheckReport struct {
 // "hardware parallelism": the current GOMAXPROCS setting.
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// Kinds returns the union of context kinds the registered constraints
-// quantify over. Pool snapshots use it to enumerate only candidate
-// bindings whose kinds some constraint can actually inspect.
-func (ch *Checker) Kinds() map[ctx.Kind]bool {
-	out := make(map[ctx.Kind]bool)
-	for _, kinds := range ch.kindsOf {
-		for k := range kinds {
-			out[k] = true
-		}
-	}
-	return out
-}
-
 // CheckParallel evaluates every constraint against the universe using up to
 // workers concurrent evaluators and returns all violations in the same
 // deterministic order as Check. workers <= 1 falls back to the serial path.
@@ -104,16 +91,15 @@ func (ch *Checker) CheckAdditionParallelReport(u Universe, added *ctx.Context, w
 		return ch.CheckAddition(u, added), rep
 	}
 	evals := make([]constraintEval, len(ch.constraints))
-	skipped := make([]bool, len(ch.constraints))
 	var tasks []func()
 	for i, c := range ch.constraints {
-		if !ch.kindsOf[c.Name][added.Kind] {
-			skipped[i] = true
+		m := ch.meta[i]
+		if !m.kinds[added.Kind] {
 			rep.BindingsPruned += rootDomainSize(c.Formula, u)
 			continue
 		}
 		pivot := added
-		if !ch.universalOK[c.Name] {
+		if !m.universal {
 			pivot = nil // full re-check; violations filtered to the addition below
 		}
 		tasks = append(tasks, shardTasks(c.Formula, u, pivot, workers, &evals[i])...)
@@ -123,21 +109,12 @@ func (ch *Checker) CheckAdditionParallelReport(u Universe, added *ctx.Context, w
 
 	var out []Violation
 	for i, c := range ch.constraints {
-		if skipped[i] {
+		m := ch.meta[i]
+		if !m.kinds[added.Kind] {
 			continue
 		}
-		r := evals[i].result()
-		if r.Satisfied {
-			continue
-		}
-		if ch.universalOK[c.Name] {
-			out = append(out, violationsOf(c.Name, r.Links)...)
-			continue
-		}
-		for _, l := range r.Links {
-			if l.Contains(added.ID) {
-				out = append(out, Violation{Constraint: c.Name, Link: l})
-			}
+		if r := evals[i].result(); !r.Satisfied {
+			out = append(out, additionViolations(c.Name, m.universal, r.Links, added)...)
 		}
 	}
 	return out, rep
@@ -181,7 +158,7 @@ func shardTasks(f Formula, u Universe, pivot *ctx.Context, workers int, ce *cons
 	}
 	if !ok || len(domain) < 2 || workers <= 1 {
 		ce.sharded = false
-		return []func(){func() { ce.whole = f.eval(u, Env{}, pivot) }}
+		return []func(){func() { ce.whole = f.eval(newEvalState(u, pivot), needVio) }}
 	}
 	n := workers
 	if n > len(domain) {
@@ -192,8 +169,8 @@ func shardTasks(f Formula, u Universe, pivot *ctx.Context, workers int, ce *cons
 	tasks := make([]func(), n)
 	for s := 0; s < n; s++ {
 		s := s
-		sub := domain[s*len(domain)/n : (s+1)*len(domain)/n]
-		tasks[s] = func() { ce.parts[s] = root.evalDomain(u, Env{}, pivot, sub) }
+		lo, hi := s*len(domain)/n, (s+1)*len(domain)/n
+		tasks[s] = func() { ce.parts[s] = root.evalRange(newEvalState(u, pivot), needVio, domain, lo, hi) }
 	}
 	return tasks
 }

@@ -11,11 +11,11 @@ import (
 // explicit bindings.
 func evalPred(t *testing.T, f Formula, bindings map[string]*ctx.Context) bool {
 	t.Helper()
-	env := Env{}
+	s := newEvalState(NewSliceUniverse(nil), nil)
 	for k, v := range bindings {
-		env[k] = v
+		s.env = append(s.env, binding{name: k, c: v})
 	}
-	return f.eval(NewSliceUniverse(nil), env, nil).Satisfied
+	return f.eval(s, needBoth).Satisfied
 }
 
 func TestSameSubject(t *testing.T) {

@@ -395,10 +395,7 @@ func (m *Middleware) checkComputeLocked(c *ctx.Context) func() checkOutcome {
 			return checkOutcome{vios: m.checker.CheckAddition(u, c)}
 		}
 	}
-	if m.checkKinds == nil {
-		m.checkKinds = m.checker.Kinds()
-	}
-	u, pruned := m.pool.CheckingUniverseFor(m.checkKinds)
+	u, pruned := m.pool.CheckingUniverseFor(m.checker.Kinds())
 	workers := m.checkOpts.Parallelism
 	return func() checkOutcome {
 		vios, rep := m.checker.CheckAdditionParallelReport(u, c, workers)

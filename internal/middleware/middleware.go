@@ -113,7 +113,6 @@ type Middleware struct {
 	situationHook func(situation.Event)
 	hooks         Hooks
 	checkOpts     CheckerOptions
-	checkKinds    map[ctx.Kind]bool // cached checker.Kinds() for snapshot pruning
 	clock         time.Time
 	stats         Stats
 
